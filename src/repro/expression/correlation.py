@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
@@ -63,8 +63,11 @@ def correlation_p_value(rho: float, n_samples: int) -> float:
     """Two-sided p-value of a Pearson correlation under the null ρ = 0.
 
     Uses the exact ``t = ρ·sqrt((n−2)/(1−ρ²))`` transform with ``n−2`` degrees
-    of freedom.  ``|ρ| = 1`` returns 0.0 and fewer than three samples returns
-    1.0 (no power).
+    of freedom; the two-sided tail is ``2·stdtr(n−2, −t)``, the Student-t
+    survival function straight from ``scipy.special`` (exactly what
+    ``scipy.stats.t.sf`` evaluates, without importing ``scipy.stats``).
+    ``|ρ| = 1`` returns 0.0 and fewer than three samples returns 1.0 (no
+    power).
     """
     if n_samples < 3:
         return 1.0
@@ -72,17 +75,17 @@ def correlation_p_value(rho: float, n_samples: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     t = abs(r) * math.sqrt((n_samples - 2) / (1.0 - r * r))
-    return float(2.0 * stats.t.sf(t, df=n_samples - 2))
+    return float(2.0 * special.stdtr(n_samples - 2, -t))
 
 
 def correlation_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
-    """Vectorised :func:`correlation_p_value`: one ``stats.t.sf`` call per array.
+    """Vectorised :func:`correlation_p_value`: one ``stdtr`` ufunc call per array.
 
     Element-for-element identical to the scalar function (same clamp, same
     ``t`` transform, same survival function) — the test suite pins the two on
-    a grid — but amortises the ``scipy.stats`` dispatch overhead across the
-    whole array, which is what per-pair p-value reporting over thousands of
-    admitted correlations needs.
+    a grid — but amortises the per-call overhead across the whole array,
+    which is what per-pair p-value reporting over thousands of admitted
+    correlations needs.
     """
     rho = np.asarray(rho, dtype=float)
     if n_samples < 3:
@@ -91,7 +94,7 @@ def correlation_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
     saturated = np.abs(r) >= 1.0
     safe = np.where(saturated, 0.0, r)
     t = np.abs(safe) * np.sqrt((n_samples - 2) / (1.0 - safe * safe))
-    p = 2.0 * stats.t.sf(t, df=n_samples - 2)
+    p = 2.0 * special.stdtr(n_samples - 2, -t)
     return np.where(saturated, 0.0, p)
 
 
@@ -99,13 +102,15 @@ def critical_correlation(p_value: float, n_samples: int) -> float:
     """Return the smallest |ρ| whose two-sided p-value is ≤ ``p_value``.
 
     Convenient for turning the paper's p ≤ 0.0005 criterion into a correlation
-    cut-off that can be combined with the explicit 0.95 threshold.
+    cut-off that can be combined with the explicit 0.95 threshold.  The
+    critical ``t`` is ``−stdtrit(n−2, p/2)``, the Student-t inverse survival
+    function that ``scipy.stats.t.isf`` evaluates.
     """
     if n_samples < 3:
         return 1.0
     if not 0.0 < p_value < 1.0:
         raise ValueError("p_value must lie in (0, 1)")
-    t_crit = stats.t.isf(p_value / 2.0, df=n_samples - 2)
+    t_crit = -special.stdtrit(n_samples - 2, p_value / 2.0)
     return float(t_crit / math.sqrt(n_samples - 2 + t_crit ** 2))
 
 
@@ -140,7 +145,7 @@ class CorrelationThreshold:
 
         Uses :func:`correlation_p_values` so bulk admission tests (e.g.
         re-checking an extracted pair list under a different criterion) cost
-        one ``stats.t.sf`` call instead of one per pair.  The tiled network
+        one ``stdtr`` ufunc call instead of one per pair.  The tiled network
         extraction itself never needs this — :meth:`effective_cutoff` folds
         the p-value criterion into a single ρ cut-off — so this is the
         per-pair *reporting* path.

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .microarray import ExpressionMatrix
 
@@ -55,6 +54,8 @@ def differential_expression_scores(
     Both matrices must cover the same genes in the same order.  Genes with
     zero variance in both conditions get a t-statistic of 0 and p-value 1.
     """
+    from scipy import stats  # deferred: keeps scipy.stats off the import path
+
     if condition_a.genes != condition_b.genes:
         raise ValueError("both conditions must cover the same genes in the same order")
     a = condition_a.values

@@ -23,6 +23,7 @@ hashed, and two spellings of one request share one cache entry.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from ..core.sampling import apply_filter, filter_names
@@ -69,8 +70,8 @@ def _norm_common(params: dict[str, Any], default_scale: float) -> dict[str, Any]
         scale = round(float(scale), 6)
     except (TypeError, ValueError):
         raise _bad(f"scale must be a number, got {scale!r}") from None
-    if scale <= 0:
-        raise _bad(f"scale must be positive, got {scale}")
+    if not math.isfinite(scale) or scale <= 0:
+        raise _bad(f"scale must be positive and finite, got {scale}")
     return {"dataset": dataset, "scale": scale}
 
 

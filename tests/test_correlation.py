@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.expression import (
     CorrelationThreshold,
@@ -233,3 +236,78 @@ class TestVectorisedPValues:
                 vector = threshold.admits_array(rhos, n)
                 scalar = np.array([threshold.admits(r, n) for r in rhos])
                 assert np.array_equal(vector, scalar), (threshold, n)
+
+
+class TestPValueOracle:
+    """Pin the p-value helpers bit-for-bit to the ``scipy.stats.t`` formulas.
+
+    The library evaluates the Student-t tails with the ``scipy.special``
+    ufuncs so that ``scipy.stats`` stays off the import path; these oracles
+    are the original ``scipy.stats.t.sf`` / ``t.isf`` expressions, so any
+    drift shows as a bit mismatch.
+    """
+
+    SAMPLE_COUNTS = (0, 1, 2, 3, 5, 12, 50, 60, 202)
+    RHO_GRID = np.concatenate(
+        [
+            np.linspace(-1.0, 1.0, 401),
+            np.random.default_rng(11).uniform(-1.0, 1.0, 500),
+            [0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 0.95, -0.95],
+            1.0 - np.logspace(-16, -1, 31),
+            np.logspace(-12, -1, 23),
+        ]
+    )
+    P_GRID = (1e-100, 1e-12, 1e-6, 0.0005, 0.001, 0.01, 0.05, 0.5, 0.9, 0.999999)
+
+    @staticmethod
+    def oracle_p_value(rho: float, n_samples: int) -> float:
+        if n_samples < 3:
+            return 1.0
+        r = max(-1.0, min(1.0, float(rho)))
+        if abs(r) >= 1.0:
+            return 0.0
+        t = abs(r) * math.sqrt((n_samples - 2) / (1.0 - r * r))
+        return float(2.0 * stats.t.sf(t, df=n_samples - 2))
+
+    @staticmethod
+    def oracle_p_values(rho: np.ndarray, n_samples: int) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
+        if n_samples < 3:
+            return np.ones(rho.shape, dtype=float)
+        r = np.clip(rho, -1.0, 1.0)
+        saturated = np.abs(r) >= 1.0
+        safe = np.where(saturated, 0.0, r)
+        t = np.abs(safe) * np.sqrt((n_samples - 2) / (1.0 - safe * safe))
+        return np.where(saturated, 0.0, 2.0 * stats.t.sf(t, df=n_samples - 2))
+
+    @staticmethod
+    def oracle_critical(p_value: float, n_samples: int) -> float:
+        if n_samples < 3:
+            return 1.0
+        t_crit = stats.t.isf(p_value / 2.0, df=n_samples - 2)
+        return float(t_crit / math.sqrt(n_samples - 2 + t_crit ** 2))
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    def test_scalar_p_value_bits(self, n):
+        bits = [
+            (r, correlation_p_value(r, n).hex(), self.oracle_p_value(r, n).hex())
+            for r in self.RHO_GRID.tolist()
+        ]
+        mismatches = [row for row in bits if row[1] != row[2]]
+        assert not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    def test_vector_p_value_bits(self, n):
+        from repro.expression import correlation_p_values
+
+        got = correlation_p_values(self.RHO_GRID, n)
+        want = self.oracle_p_values(self.RHO_GRID, n)
+        assert got.dtype == want.dtype == np.float64
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, list(zip(self.RHO_GRID[bad][:5], got[bad][:5], want[bad][:5]))
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    def test_critical_correlation_bits(self, n):
+        for p in self.P_GRID:
+            got = critical_correlation(p, n)
+            assert got.hex() == self.oracle_critical(p, n).hex(), (p, n)

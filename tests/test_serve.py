@@ -21,6 +21,7 @@ from repro.serve import (
     ResultCache,
     ServeClient,
     error_response,
+    normalize_params,
     ok_response,
     parse_request,
     read_message,
@@ -28,6 +29,7 @@ from repro.serve import (
     spec_hash,
     write_message,
 )
+from repro.serve.handlers import normalize_dataset_params, normalize_update_params
 
 SCALE = 0.02
 
@@ -77,6 +79,21 @@ class TestProtocol:
             parse_request({"op": "x", "params": [1]})
         with pytest.raises(ProtocolError):
             parse_request({"op": "x", "id": 1.5})
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), "nan", "inf"])
+    def test_non_finite_scale_rejected(self, scale):
+        for op in ("filter", "classify", "enrich"):
+            with pytest.raises(ValueError, match="finite"):
+                normalize_params(op, {"scale": scale}, SCALE)
+        with pytest.raises(ValueError, match="finite"):
+            normalize_dataset_params({"scale": scale}, SCALE)
+        with pytest.raises(ValueError, match="finite"):
+            normalize_update_params({"scale": scale, "add_genes": 1}, SCALE)
+
+    def test_finite_scale_still_normalized(self):
+        assert normalize_params("filter", {"scale": "0.02"}, 1.0)["scale"] == 0.02
+        with pytest.raises(ValueError, match="positive"):
+            normalize_params("filter", {"scale": 0}, SCALE)
 
     def test_spec_hash_is_order_independent_and_param_sensitive(self):
         a = spec_hash("filter", {"dataset": "CRE", "seed": 1})
@@ -182,6 +199,15 @@ class TestServedRoundTrips:
         response = client.request("filter", bogus_key=1)
         assert response["error"]["code"] == "bad-request"
         assert "bogus_key" in response["error"]["message"]
+
+    def test_non_finite_scale_is_bad_request(self, client):
+        # json.dumps writes these as bare NaN / Infinity tokens, which the
+        # daemon's json.loads accepts: the scale check is what must reject them.
+        for scale in (float("nan"), float("inf"), float("-inf")):
+            response = client.request("filter", scale=scale)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad-request"
+            assert "finite" in response["error"]["message"]
 
     def test_filter_caches_by_spec_hash(self, client):
         first = client.request("filter", dataset="CRE", seed=41)
