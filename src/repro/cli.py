@@ -23,11 +23,12 @@ A small CLI so the pipeline can be driven without writing Python:
     send one request to a running daemon and print its canonical JSON result.
 
 Every command accepts ``--scale`` (default: the benchmark scale, see
-``REPRO_SCALE``) and prints plain-text tables via :mod:`repro.pipeline.report`.
-``filter`` and ``analyze`` additionally take ``--json``, which prints the
-*canonical result payload* instead of the tables — byte-identical to what the
-daemon serves for the same request, which is how the serving tests pin
-cold/warm equivalence.
+``REPRO_SCALE``; a float or an alias such as ``tiny``, checked by
+:func:`~repro.pipeline.batch.parse_scale`) and prints plain-text tables via
+:mod:`repro.pipeline.report`.  ``filter`` and ``analyze`` additionally take
+``--json``, which prints the *canonical result payload* instead of the tables
+— byte-identical to what the daemon serves for the same request, which is how
+the serving tests pin cold/warm equivalence.
 """
 
 from __future__ import annotations
@@ -74,6 +75,18 @@ __all__ = ["build_parser", "main"]
 _FIGURES = DRIVERS
 
 
+def _scale_arg(text: str) -> float:
+    """The argparse type of every single ``--scale``: :func:`parse_scale`.
+
+    A float or a scale alias (``tiny`` …); NaN, infinities, non-positive and
+    overflowing scales become a usage error instead of a traceback.
+    """
+    try:
+        return parse_scale(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -83,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     datasets = sub.add_parser("datasets", help="list the built-in synthetic datasets")
-    datasets.add_argument("--scale", type=float, default=None, help="dataset scale (default: REPRO_SCALE or 0.1)")
+    datasets.add_argument("--scale", type=_scale_arg, default=None, help="dataset scale (default: REPRO_SCALE or 0.1)")
 
     kernels = sub.add_parser(
         "kernels",
@@ -98,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     filt = sub.add_parser("filter", help="apply a sampling filter to a dataset's correlation network")
     filt.add_argument("--dataset", choices=dataset_names(), default="CRE")
-    filt.add_argument("--scale", type=float, default=None)
+    filt.add_argument("--scale", type=_scale_arg, default=None)
     filt.add_argument("--method", choices=filter_names(), default="chordal")
     filt.add_argument("--ordering", choices=ordering_names(), default="natural")
     filt.add_argument("--partitions", type=int, default=1, help="number of simulated processors")
@@ -125,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="full analysis: filter + MCODE + enrichment + overlap")
     analyze.add_argument("--dataset", choices=dataset_names(), default="CRE")
-    analyze.add_argument("--scale", type=float, default=None)
+    analyze.add_argument("--scale", type=_scale_arg, default=None)
     analyze.add_argument("--method", choices=filter_names(), default="chordal")
     analyze.add_argument("--ordering", choices=ordering_names(), default="natural")
     analyze.add_argument("--partitions", type=int, default=1)
@@ -151,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated datasets to warm before accepting clients",
     )
-    serve.add_argument("--scale", type=float, default=None)
+    serve.add_argument("--scale", type=_scale_arg, default=None)
     serve.add_argument("--workers", type=int, default=4, help="executor threads")
     serve.add_argument("--max-pending", type=int, default=64, help="admission queue bound")
     serve.add_argument("--cache-size", type=int, default=256, help="LRU result-cache entries")
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
     figure.add_argument("name", choices=sorted(_FIGURES), help="figure / claim to regenerate")
-    figure.add_argument("--scale", type=float, default=None)
+    figure.add_argument("--scale", type=_scale_arg, default=None)
 
     batch = sub.add_parser(
         "batch",
@@ -384,6 +397,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         partition_method=args.partition_method,
         seed=args.seed,
         backend=args.backend,
+        csr=study.network_csr(),
     )
     if args.json:
         print(_canonical_json(filter_payload(result)))

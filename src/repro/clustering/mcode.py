@@ -424,11 +424,12 @@ def mcode_score(subgraph: Graph) -> float:
 
 
 def mcode_clusters(
-    graph: Graph,
+    graph: Optional[Graph],
     params: Optional[MCODEParams] = None,
     source: str = "",
     csr: Optional[CSRGraph] = None,
     kernels: Optional[str] = None,
+    edge_attrs: Optional[Graph] = None,
 ) -> list[Cluster]:
     """Run MCODE on ``graph`` and return clusters sorted by descending score.
 
@@ -441,11 +442,24 @@ def mcode_clusters(
     once (or ``csr`` — which must be ``CSRGraph.from_graph(graph)``-equivalent,
     e.g. the cached :meth:`SyntheticStudy.network_csr` view — is reused), and
     indices are mapped back to labels exactly once, when the returned
-    :class:`Cluster` objects are built.
+    :class:`Cluster` objects are built; their subgraphs come from the CSR rows
+    (:meth:`CSRGraph.induced_graph`), identical to ``graph.subgraph(members)``.
+
+    ``graph`` may be ``None`` when ``csr`` is given — a filtered network that
+    never became a label graph.  The cluster subgraphs then take their edge
+    attributes from ``edge_attrs`` (a graph holding every edge of ``csr``,
+    such as the unfiltered network), and the ``reference`` tier, which runs on
+    labels, materialises the graph with :meth:`CSRGraph.to_graph`.
     """
     params = params or MCODEParams()
     kernels = resolve_kernels(kernels)
+    if graph is None and csr is None:
+        raise ValueError("mcode_clusters needs a graph or its CSR view")
+    if edge_attrs is None:
+        edge_attrs = graph
     if kernels == "reference":
+        if graph is None:
+            graph = csr.to_graph(edge_attrs)
         return reference_mcode_clusters(graph, params, source)
     if csr is None:
         csr = CSRGraph.from_graph(graph)
@@ -457,7 +471,7 @@ def mcode_clusters(
             Cluster(
                 cluster_id=i,
                 members=members,
-                subgraph=graph.subgraph(members),
+                subgraph=csr.induced_graph(complex_.members, edge_attrs),
                 score=complex_.score,
                 seed=labels[complex_.seed],
                 source=source,

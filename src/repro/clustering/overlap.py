@@ -16,17 +16,22 @@ analysis in :mod:`repro.clustering.evaluation`.
 
 The all-pairs matching used to walk every (original, filtered) pair through
 Python set intersections; :func:`match_clusters` and :func:`lost_clusters`
-now take an index-native fast path for the two standard measures: cluster
-member (or edge) sets are mapped onto a shared integer universe, stacked into
-0/1 membership matrices, and all pairwise intersection counts fall out of one
-matrix product.  The generic-``key`` behaviour is retained as
-``reference_match_clusters`` / ``reference_lost_clusters`` and the fast path
-is pinned to it by the test suite.
+now take an index-native fast path for the two standard measures.  The
+original clusters' members (and edges) are numbered into an incidence index —
+element id → the original clusters holding it — which a caller can build once
+(:class:`OriginalClusterIndex`; a dataset bundle keeps one per generation)
+instead of once per filter run.  Each filtered cluster's elements are then looked up in it,
+and every pairwise intersection count is one ``bincount`` over the joined
+``(original, filtered)`` pairs: work proportional to the shared elements, not
+to the dense cluster × universe matrices.  The counts are exact integers, so
+the overlap fractions are bit-identical.  The generic-``key`` behaviour is
+retained as ``reference_match_clusters`` / ``reference_lost_clusters`` and the
+fast path is pinned to it by the test suite.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,6 +44,7 @@ __all__ = [
     "edge_overlap",
     "jaccard_node_overlap",
     "ClusterMatch",
+    "OriginalClusterIndex",
     "match_clusters",
     "match_and_lost_clusters",
     "lost_clusters",
@@ -93,73 +99,110 @@ class ClusterMatch:
 # ----------------------------------------------------------------------
 # index-native pairwise intersection counts
 # ----------------------------------------------------------------------
-def _count_matrix(
-    original_sets: Sequence[set], filtered_sets: Sequence[set]
-) -> np.ndarray:
-    """All pairwise intersection sizes as one ``(|orig|, |filt|)`` array.
+@dataclass(frozen=True)
+class _Incidence:
+    """One element universe of the original clusters (their nodes or their edges).
 
-    Every element (node label or canonical edge tuple) is assigned a dense
-    integer id; each cluster becomes one 0/1 row of a membership matrix and
-    the counts are a single (BLAS) matrix product.  Counts are small exact
-    integers in float64, so downstream divisions reproduce the set-based
-    fractions bit-for-bit.
+    ``ids`` numbers every element of any original cluster; the original
+    clusters holding element ``e`` are ``rows[ptr[e]:ptr[e + 1]]``.  ``sizes``
+    is each original cluster's set size (the overlap denominators).
     """
-    index: dict = {}
-    for s in original_sets:
-        for x in s:
-            if x not in index:
-                index[x] = len(index)
-    for s in filtered_sets:
-        for x in s:
-            if x not in index:
-                index[x] = len(index)
-    u = max(len(index), 1)
-    a = np.zeros((len(original_sets), u), dtype=np.float64)
-    for r, s in enumerate(original_sets):
-        if s:
-            a[r, [index[x] for x in s]] = 1.0
-    b = np.zeros((len(filtered_sets), u), dtype=np.float64)
-    for r, s in enumerate(filtered_sets):
-        if s:
-            b[r, [index[x] for x in s]] = 1.0
-    return a @ b.T
+
+    ids: dict
+    ptr: np.ndarray
+    rows: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def build(cls, sets: Sequence[set]) -> "_Incidence":
+        ids: dict = {}
+        element: list[int] = []
+        row: list[int] = []
+        for r, members in enumerate(sets):
+            for x in members:
+                element.append(ids.setdefault(x, len(ids)))
+                row.append(r)
+        element_arr = np.asarray(element, dtype=np.int64)
+        order = np.argsort(element_arr, kind="stable")
+        ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(element_arr, minlength=len(ids)), out=ptr[1:])
+        return cls(
+            ids=ids,
+            ptr=ptr,
+            rows=np.asarray(row, dtype=np.int64)[order],
+            sizes=np.array([len(m) for m in sets], dtype=np.float64),
+        )
+
+    def overlaps(self, filtered_sets: Sequence[Iterable]) -> np.ndarray:
+        """``(|original|, |filtered|)`` overlap fractions ``|o ∩ f| / |o|``.
+
+        Each filtered set's elements that occur in some original cluster are
+        joined with their incidence rows; ``bincount`` over the flattened
+        ``(original, filtered)`` pair codes gives every intersection size.
+        Empty original clusters read 0.
+        """
+        n_orig, n_filt = self.sizes.shape[0], len(filtered_sets)
+        ids = self.ids
+        hit: list[int] = []
+        col: list[int] = []
+        for j, members in enumerate(filtered_sets):
+            found = [e for e in map(ids.get, members) if e is not None]
+            hit.extend(found)
+            col.extend([j] * len(found))
+        hit_arr = np.asarray(hit, dtype=np.int64)
+        starts = self.ptr[hit_arr]
+        counts = self.ptr[hit_arr + 1] - starts
+        total = int(counts.sum())
+        base = np.zeros(hit_arr.shape[0], dtype=np.int64)
+        np.cumsum(counts[:-1], out=base[1:])
+        take = np.repeat(starts - base, counts) + np.arange(total, dtype=np.int64)
+        codes = self.rows[take] * n_filt + np.repeat(np.asarray(col, dtype=np.int64), counts)
+        inter = np.bincount(codes, minlength=n_orig * n_filt).reshape(n_orig, n_filt)
+        safe = np.where(self.sizes == 0, 1.0, self.sizes)
+        return inter / safe[:, None]
 
 
-def _overlap_values(
-    counts: np.ndarray, original_sizes: np.ndarray
-) -> np.ndarray:
-    """Per-pair overlap fractions: ``counts / |original|`` (0 for empty originals)."""
-    safe = np.where(original_sizes == 0, 1.0, original_sizes)
-    vals = counts / safe[:, None]
-    vals[original_sizes == 0, :] = 0.0
-    return vals
+class OriginalClusterIndex:
+    """The original clusters' nodes and edges, numbered for the overlap join.
+
+    Build it once per original cluster list (a dataset bundle holds one per
+    generation, see ``DatasetBundle.overlap_index``) and pass it to
+    :func:`match_and_lost_clusters`, so matching a filter run's clusters
+    costs only the lookups of the filtered side.  Clusters are results: a
+    cluster mutated after it was indexed is not seen here.
+    """
+
+    __slots__ = ("clusters", "nodes", "edges")
+
+    def __init__(self, original_clusters: Sequence[Cluster]) -> None:
+        self.clusters = tuple(original_clusters)
+        self.nodes = _Incidence.build([c.node_set() for c in self.clusters])
+        self.edges = _Incidence.build([c.edge_set() for c in self.clusters])
+
+    def indexes(self, original_clusters: Sequence[Cluster]) -> bool:
+        """Whether this index was built from exactly these cluster objects."""
+        return len(original_clusters) == len(self.clusters) and all(
+            a is b for a, b in zip(original_clusters, self.clusters)
+        )
 
 
 def _overlap_values_for(
-    original_clusters: Sequence[Cluster],
-    filtered_clusters: Sequence[Cluster],
-    by_edges: bool,
+    index: OriginalClusterIndex, filtered_clusters: Sequence[Cluster], by_edges: bool
 ) -> np.ndarray:
     """One overlap-fraction matrix (node- or edge-based) for every pair."""
     if by_edges:
-        orig = [c.edge_set() for c in original_clusters]
-        filt = [c.edge_set() for c in filtered_clusters]
-    else:
-        orig = [c.node_set() for c in original_clusters]
-        filt = [c.node_set() for c in filtered_clusters]
-    return _overlap_values(
-        _count_matrix(orig, filt),
-        np.array([len(s) for s in orig], dtype=np.float64),
-    )
+        # iter_edges yields canonical keys already: the edge_set() elements.
+        return index.edges.overlaps([c.subgraph.iter_edges() for c in filtered_clusters])
+    return index.nodes.overlaps([c.node_set() for c in filtered_clusters])
 
 
 def _overlap_matrices(
-    original_clusters: Sequence[Cluster], filtered_clusters: Sequence[Cluster]
+    index: OriginalClusterIndex, filtered_clusters: Sequence[Cluster]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(node_overlaps, edge_overlaps)`` matrices for every cluster pair."""
     return (
-        _overlap_values_for(original_clusters, filtered_clusters, by_edges=False),
-        _overlap_values_for(original_clusters, filtered_clusters, by_edges=True),
+        _overlap_values_for(index, filtered_clusters, by_edges=False),
+        _overlap_values_for(index, filtered_clusters, by_edges=True),
     )
 
 
@@ -214,8 +257,8 @@ def match_clusters(
     ``None`` — the paper's *found* clusters.
 
     For the two standard measures (:func:`node_overlap` / :func:`edge_overlap`)
-    the matching runs on membership matrices (see :func:`_count_matrix`);
-    any other ``key`` falls back to :func:`reference_match_clusters`.
+    the matching runs on the incidence join (see :class:`_Incidence`); any
+    other ``key`` falls back to :func:`reference_match_clusters`.
     """
     if not _is_fast_key(key):
         return reference_match_clusters(original_clusters, filtered_clusters, key)
@@ -224,7 +267,9 @@ def match_clusters(
             ClusterMatch(filtered=fc, original=None, node_overlap=0.0, edge_overlap=0.0)
             for fc in filtered_clusters
         ]
-    node_vals, edge_vals = _overlap_matrices(original_clusters, filtered_clusters)
+    node_vals, edge_vals = _overlap_matrices(
+        OriginalClusterIndex(original_clusters), filtered_clusters
+    )
     key_vals = node_vals if key is node_overlap else edge_vals
     return _matches_from_values(
         original_clusters, filtered_clusters, node_vals, edge_vals, key_vals
@@ -235,13 +280,18 @@ def match_and_lost_clusters(
     original_clusters: Sequence[Cluster],
     filtered_clusters: Sequence[Cluster],
     key: Callable[[Cluster, Cluster], float] = node_overlap,
+    index: Optional[OriginalClusterIndex] = None,
 ) -> tuple[list[ClusterMatch], list[Cluster]]:
     """:func:`match_clusters` and :func:`lost_clusters` in one pass.
 
     The workflow needs both over the same cluster lists; for the standard
     measures this computes the overlap matrices once and reads the matches
-    and the zero-overlap (lost) originals off them.
+    and the zero-overlap (lost) originals off them.  ``index`` is a prebuilt
+    :class:`OriginalClusterIndex` of ``original_clusters`` (built here when
+    omitted); one built from other clusters raises :class:`ValueError`.
     """
+    if index is not None and not index.indexes(original_clusters):
+        raise ValueError("index was built from a different original cluster list")
     if not _is_fast_key(key):
         return (
             reference_match_clusters(original_clusters, filtered_clusters, key),
@@ -251,7 +301,9 @@ def match_and_lost_clusters(
         return match_clusters(original_clusters, filtered_clusters, key), []
     if not filtered_clusters:
         return [], list(original_clusters)
-    node_vals, edge_vals = _overlap_matrices(original_clusters, filtered_clusters)
+    node_vals, edge_vals = _overlap_matrices(
+        index or OriginalClusterIndex(original_clusters), filtered_clusters
+    )
     key_vals = node_vals if key is node_overlap else edge_vals
     matches = _matches_from_values(
         original_clusters, filtered_clusters, node_vals, edge_vals, key_vals
@@ -279,7 +331,7 @@ def lost_clusters(
     if not filtered_clusters:
         return list(original_clusters)
     key_vals = _overlap_values_for(
-        original_clusters, filtered_clusters, by_edges=key is edge_overlap
+        OriginalClusterIndex(original_clusters), filtered_clusters, by_edges=key is edge_overlap
     )
     zero_rows = (key_vals == 0.0).all(axis=1)
     return [oc for r, oc in enumerate(original_clusters) if zero_rows[r]]

@@ -21,14 +21,15 @@ The communication volume per processor grows with the number of border edges
 makes this variant lose scalability on small graphs with many processors
 (paper Figure 10, YNG at 32+ processors).
 
-**Index-native pipeline.**  As in the no-communication sampler, the graph is
-converted to CSR once; ordering, partitioning, per-rank subgraphs and the
-receiver-side two-pair admission test all run on ``int64`` indices (the
-mutable local view is a plain ``dict[int, set[int]]``), and the merged edge
-set is mapped back to labels exactly once.  Mutual border-edge lists are
-sorted by the ``repr`` of their label form at the boundary so receivers admit
-candidates in the identical sequence as the label-level pipeline — admission
-is order-dependent, and the filter's output must not drift.  The label-level
+**Index-native pipeline.**  As in the no-communication sampler, the filter
+runs on the network's CSR view (prebuilt ``csr=`` or one conversion);
+ordering, partitioning, per-rank subgraphs and the receiver-side two-pair
+admission test all run on ``int64`` indices (the mutable local view is a
+plain ``dict[int, set[int]]``), and the merged edge set becomes the filtered
+CSR without a label round trip.  Mutual border-edge lists are sorted by the
+``repr`` of their label form at the boundary so receivers admit candidates in
+the identical sequence as the label-level pipeline — admission is
+order-dependent, and the filter's output must not drift.  The label-level
 :func:`receiver_admit_border_edges` is retained as the behavioural reference.
 """
 
@@ -56,7 +57,12 @@ from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices, edge_insertion_preserves_chordality
 from .parallel_nocomm import resolve_index_partition
 from .results import FilterResult
-from .sequential import priority_from_permutation, resolve_order_indices
+from .sequential import (
+    network_csr,
+    pair_arrays,
+    priority_from_permutation,
+    resolve_order_indices,
+)
 
 __all__ = [
     "parallel_chordal_comm_filter",
@@ -260,6 +266,7 @@ def parallel_chordal_comm_filter(
     partition: Optional[Partition] = None,
     strict_order: bool = False,
     backend: Optional[str] = None,
+    csr: Optional[CSRGraph] = None,
 ) -> FilterResult:
     """Run the with-communication parallel chordal filter (the older baseline).
 
@@ -273,7 +280,8 @@ def parallel_chordal_comm_filter(
     through a zero-copy arena.  (``"serial"`` works for any ``P`` here: the
     lower-rank-sends-first protocol never receives a message that an earlier
     rank has not already buffered.)  Every backend produces the identical
-    kept edge set in the identical admission order.
+    kept edge set in the identical admission order.  ``csr`` is a prebuilt
+    CSR view of ``graph`` (see :func:`repro.core.sequential.network_csr`).
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
@@ -282,7 +290,7 @@ def parallel_chordal_comm_filter(
             f"unknown backend {backend!r}; expected one of {available_backends()}"
         )
     start = time.perf_counter()
-    csr = CSRGraph.from_graph(graph)
+    csr = network_csr(graph, csr)
     perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
     ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
     position = priority_from_permutation(perm, csr.n_vertices)
@@ -399,18 +407,16 @@ def parallel_chordal_comm_filter(
                 seen_border.add(e)
                 accepted_border_idx.append(e)
 
-    # The single index→label mapping of the whole pipeline.
-    all_local_edges = [edge_key(labels[i], labels[j]) for i, j in dict.fromkeys(all_local)]
+    # Labels only for the border-edge provenance lists.
     accepted_border = [edge_key(labels[i], labels[j]) for i, j in accepted_border_idx]
-    border_edges = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
+    border_edges = [edge_key(labels[u], labels[v]) for u, v in zip(bu.tolist(), bv.tolist())]
 
-    kept_edges = list(dict.fromkeys(all_local_edges + accepted_border))
-    filtered = graph.spanning_subgraph(kept_edges)
+    filtered = csr.spanning_subgraph(*pair_arrays(all_local + accepted_border_idx))
     wall = time.perf_counter() - start
 
     supervision = pop_supervision_events()
     result = FilterResult(
-        graph=filtered,
+        csr=filtered,
         original=graph,
         method="chordal_comm",
         ordering=ordering_name,

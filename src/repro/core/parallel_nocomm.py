@@ -22,13 +22,15 @@ edges can also close a few long cycles across partitions, producing a
 *quasi-chordal subgraph* (QCS); an optional repair pass deletes border edges
 until no fundamental cycle longer than a triangle survives among them.
 
-**Index-native pipeline.**  The filter converts the graph to CSR exactly once;
-ordering (:func:`repro.graph.ordering.ordering_indices`), partitioning
+**Index-native pipeline.**  The filter runs on the network's CSR view (the
+caller's prebuilt ``csr=``, else one conversion); ordering
+(:func:`repro.graph.ordering.ordering_indices`), partitioning
 (:class:`repro.graph.partition.IndexPartition`), per-rank subgraphs
 (:meth:`CSRGraph.induced_subgraph` array slicing) and border admission all run
 on ``int64`` vertex indices.  Rank payloads are plain numpy arrays — cheap to
-pickle for the ``process`` backend — and labels reappear exactly once, when
-the merged edge set is mapped back at the end.  The label-level helpers
+pickle for the ``process`` backend — and the merged kept edges become the
+filtered CSR directly.  Labels appear only in the border-edge provenance lists
+(and in the optional cycle repair).  The label-level helpers
 (:func:`local_chordal_phase`, :func:`admit_border_edges_no_communication`)
 are retained as the behavioural reference; the property suite pins the index
 path to them.
@@ -63,7 +65,12 @@ from ..parallel.shm import ArenaError, attach, owned_arena
 from ..parallel.timing import RankWork
 from .chordal import chordal_edges_from_csr, chordal_subgraph_edge_indices
 from .results import FilterResult
-from .sequential import priority_from_permutation, resolve_order_indices
+from .sequential import (
+    network_csr,
+    pair_arrays,
+    priority_from_permutation,
+    resolve_order_indices,
+)
 
 __all__ = [
     "parallel_chordal_nocomm_filter",
@@ -540,6 +547,7 @@ def parallel_chordal_nocomm_filter(
     repair_cycles: bool = False,
     backend: Optional[str] = None,
     processes: Optional[int] = None,
+    csr: Optional[CSRGraph] = None,
 ) -> FilterResult:
     """Run the communication-free parallel chordal filter.
 
@@ -569,6 +577,9 @@ def parallel_chordal_nocomm_filter(
         its slice bounds (each rank derives its own subgraph from the shared
         views).  All backends produce the identical kept edge set in the
         identical admission order.
+    csr:
+        Prebuilt CSR view of ``graph``
+        (see :func:`repro.core.sequential.network_csr`).
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
@@ -578,7 +589,7 @@ def parallel_chordal_nocomm_filter(
             f"unknown backend {backend!r}; expected one of {available_backends()}"
         )
     start = time.perf_counter()
-    csr = CSRGraph.from_graph(graph)
+    csr = network_csr(graph, csr)
     perm, ordering_name = resolve_order_indices(csr, ordering, explicit_order)
     ipart = resolve_index_partition(csr, n_partitions, partition_method, partition, perm)
     position = priority_from_permutation(perm, csr.n_vertices)
@@ -643,27 +654,28 @@ def parallel_chordal_nocomm_filter(
                 seen_border.add(e)
                 accepted_border_idx.append(e)
 
-    # The single index→label mapping of the whole pipeline.
+    # Labels only for the border-edge provenance lists.
     labels = csr.labels
-    all_local_edges = [edge_key(labels[i], labels[j]) for i, j in dict.fromkeys(all_local)]
+    local_idx = list(dict.fromkeys(all_local))
     accepted_border = [edge_key(labels[i], labels[j]) for i, j in accepted_border_idx]
     bu, bv = ipart.border_edges()
-    border_edges = [edge_key(labels[int(u)], labels[int(v)]) for u, v in zip(bu, bv)]
+    border_edges = [edge_key(labels[u], labels[v]) for u, v in zip(bu.tolist(), bv.tolist())]
 
     removed_for_cycles: list[Edge] = []
     if repair_cycles and accepted_border:
         accepted_border, removed_for_cycles = _repair_border_cycles(
-            all_local_edges, accepted_border
+            [edge_key(labels[i], labels[j]) for i, j in local_idx], accepted_border
         )
+        index = csr.label_index
+        accepted_border_idx = [(index[u], index[v]) for u, v in accepted_border]
 
-    kept_edges = list(dict.fromkeys(all_local_edges + accepted_border))
-    filtered = graph.spanning_subgraph(kept_edges)
+    filtered = csr.spanning_subgraph(*pair_arrays(local_idx + accepted_border_idx))
     wall = time.perf_counter() - start
 
     border_subgraph = Graph(edges=accepted_border) if accepted_border else Graph()
     supervision = pop_supervision_events()
     result = FilterResult(
-        graph=filtered,
+        csr=filtered,
         original=graph,
         method="chordal_nocomm",
         ordering=ordering_name,

@@ -28,11 +28,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..graph.csr import CSRGraph
 from ..graph.graph import Graph, edge_key
 from ..graph.partition import Partition, partition_graph
 from ..parallel.rng import rank_rngs
 from ..parallel.timing import RankWork
 from .results import FilterResult
+from .sequential import network_csr, pair_arrays
 
 __all__ = ["parallel_random_walk_filter", "random_walk_edges"]
 
@@ -80,6 +82,7 @@ def parallel_random_walk_filter(
     partition_method: str = "block",
     partition: Optional[Partition] = None,
     explicit_order: Optional[Sequence[Vertex]] = None,
+    csr: Optional[CSRGraph] = None,
 ) -> FilterResult:
     """Run the parallel random-walk control filter.
 
@@ -93,6 +96,10 @@ def parallel_random_walk_filter(
         been selected (with repetition).  The paper uses one half.
     border_keep_probability:
         Probability that a border edge survives (its "binary random value").
+    csr:
+        Prebuilt CSR view of ``graph``
+        (see :func:`repro.core.sequential.network_csr`); the walks run on the
+        label partition, and their kept edges index into this view.
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
@@ -129,12 +136,14 @@ def parallel_random_walk_filter(
     for e in partition.border_edges:
         if border_rng.random() < border_keep_probability:
             accepted_border.append(e)
-    kept = list(dict.fromkeys(kept_edges + accepted_border))
-    filtered = graph.spanning_subgraph(kept)
+    csr = network_csr(graph, csr)
+    index = csr.label_index
+    kept = [(index[u], index[v]) for u, v in kept_edges + accepted_border]
+    filtered = csr.spanning_subgraph(*pair_arrays(kept))
     wall = time.perf_counter() - start
 
     result = FilterResult(
-        graph=filtered,
+        csr=filtered,
         original=graph,
         method="random_walk",
         ordering=None,

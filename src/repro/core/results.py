@@ -6,6 +6,11 @@ overlap analysis, cost modelling) can treat them uniformly.  The result keeps
 full provenance: which algorithm and ordering produced it, how the graph was
 partitioned, how much work every rank performed, how many border edges were
 duplicated and the simulated execution time.
+
+The filtered network itself is held index-native, as the CSR over the original
+network's vertex numbering (:attr:`FilterResult.csr`).  The label
+:class:`~repro.graph.graph.Graph` is materialised only when a caller reads
+:attr:`FilterResult.graph`.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..graph.csr import CSRGraph
 from ..graph.graph import Graph
 from ..parallel.timing import CostModel, RankWork
 
@@ -29,8 +35,10 @@ class FilterResult:
 
     Attributes
     ----------
-    graph:
-        The filtered network (all original vertices, surviving edges only).
+    csr:
+        The filtered network (all original vertices, surviving edges only)
+        as a CSR sharing the original network's labels; row ``i`` lists the
+        kept neighbours of vertex ``i`` in the order the sampler kept them.
     original:
         The network the filter was applied to (not copied).
     method:
@@ -59,9 +67,13 @@ class FilterResult:
         Actual seconds spent in this process (host measurement, informational).
     extra:
         Free-form provenance (seed, thresholds, cycle statistics, …).
+
+    :attr:`graph` is the filtered network as a label :class:`Graph`, built
+    from :attr:`csr` on first access with the original network's edge
+    attributes — the graph ``original.spanning_subgraph(kept)`` would give.
     """
 
-    graph: Graph
+    csr: CSRGraph
     original: Graph
     method: str
     ordering: Optional[str] = None
@@ -74,17 +86,25 @@ class FilterResult:
     simulated_time: Optional[float] = None
     wall_time: Optional[float] = None
     extra: dict[str, Any] = field(default_factory=dict)
+    _graph: Optional[Graph] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def graph(self) -> Graph:
+        """The filtered network as a label graph (materialised once, on demand)."""
+        if self._graph is None:
+            self._graph = self.csr.to_graph(edge_attrs=self.original)
+        return self._graph
 
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
     @property
     def n_edges_kept(self) -> int:
-        return self.graph.n_edges
+        return self.csr.n_edges
 
     @property
     def n_edges_removed(self) -> int:
-        return self.original.n_edges - self.graph.n_edges
+        return self.original.n_edges - self.csr.n_edges
 
     @property
     def edge_reduction(self) -> float:
@@ -125,7 +145,7 @@ class FilterResult:
             "ordering": self.ordering,
             "n_partitions": self.n_partitions,
             "partition_method": self.partition_method,
-            "n_vertices": self.graph.n_vertices,
+            "n_vertices": self.csr.n_vertices,
             "edges_original": self.original.n_edges,
             "edges_kept": self.n_edges_kept,
             "edge_reduction": round(self.edge_reduction, 4),

@@ -151,7 +151,10 @@ def apply_filter(
         All tiers produce the identical filtered graph.
     kwargs:
         Forwarded to the underlying sampler (``seed``, ``partition_method``,
-        ``strict_order``, ``repair_cycles``, ``selection_fraction``, …).
+        ``strict_order``, ``repair_cycles``, ``selection_fraction``, ``csr``
+        — a prebuilt ``CSRGraph.from_graph(graph)``-equivalent view, such as
+        a bundle's ``network_csr``, that every sampler runs on instead of
+        converting ``graph`` again, …).
     """
     key = method.strip().lower()
     key = _ALIASES.get(key, key)

@@ -6,11 +6,11 @@ paper's Figure 11) and a sequential random walk.  Both return
 :class:`~repro.core.results.FilterResult` objects with single-rank work
 counters so they slot into the same cost model as the parallel runs.
 
-Both filters are *index-native*: the graph is converted to the CSR kernel
-once, the ordering is computed directly on indices
-(:func:`repro.graph.ordering.ordering_indices`), the kernel runs on plain
-integers, and labels reappear exactly once — when the kept edge set is mapped
-back at the end.
+Both filters are *index-native*: they run on the network's CSR view (the
+caller's prebuilt ``csr=``, else one conversion), the ordering is computed
+directly on indices (:func:`repro.graph.ordering.ordering_indices`), the kernel
+runs on plain integers, and the kept edges become the filtered CSR
+(:meth:`CSRGraph.spanning_subgraph`) without passing through labels.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..graph.graph import Graph, edge_key
+from ..graph.graph import Graph
 from ..graph.ordering import get_ordering, ordering_indices
 from ..parallel.timing import RankWork
 from .chordal import chordal_subgraph_edge_indices
@@ -33,6 +33,8 @@ __all__ = [
     "sequential_random_walk_filter",
     "resolve_order",
     "resolve_order_indices",
+    "network_csr",
+    "pair_arrays",
 ]
 
 Vertex = Hashable
@@ -87,6 +89,22 @@ def resolve_order_indices(
     return ordering_indices(ordering, csr), ordering
 
 
+def network_csr(graph: Graph, csr: Optional[CSRGraph]) -> CSRGraph:
+    """The CSR view a sampler runs on: the caller's prebuilt one, else a fresh one.
+
+    A prebuilt ``csr`` must be ``CSRGraph.from_graph(graph)``-equivalent (for
+    instance a bundle's ``network_csr``) — the same contract as
+    :func:`repro.clustering.mcode.mcode_clusters`.
+    """
+    return CSRGraph.from_graph(graph) if csr is None else csr
+
+
+def pair_arrays(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs as two aligned ``int64`` endpoint arrays."""
+    flat = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return flat[:, 0], flat[:, 1]
+
+
 def priority_from_permutation(perm: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
     """Invert an ordering permutation into the per-vertex priority array.
 
@@ -105,6 +123,7 @@ def sequential_chordal_filter(
     ordering: Optional[str] = "natural",
     explicit_order: Optional[Sequence[Vertex]] = None,
     strict_order: bool = False,
+    csr: Optional[CSRGraph] = None,
 ) -> FilterResult:
     """Extract the maximal chordal subgraph of ``graph`` on a single processor.
 
@@ -119,17 +138,17 @@ def sequential_chordal_filter(
     strict_order:
         Process vertices exactly in the given order instead of the greedy
         maximum-|S| rule (see :func:`repro.core.chordal.chordal_subgraph_edges`).
+    csr:
+        Prebuilt CSR view of ``graph`` (see :func:`network_csr`).
     """
     start = time.perf_counter()
-    # One CSR conversion serves the ordering, the extraction kernel and the
-    # work counters; labels reappear only in the final edge mapping.
-    csr = CSRGraph.from_graph(graph)
+    # One CSR view serves the ordering, the extraction kernel, the work
+    # counters and the filtered network.
+    csr = network_csr(graph, csr)
     perm, name = resolve_order_indices(csr, ordering, explicit_order)
     priority = priority_from_permutation(perm, csr.n_vertices)
     pairs = chordal_subgraph_edge_indices(csr, priority=priority, strict_order=strict_order)
-    labels = csr.labels
-    edges = [edge_key(labels[i], labels[j]) for i, j in pairs]
-    filtered = graph.spanning_subgraph(edges)
+    filtered = csr.spanning_subgraph(*pair_arrays(pairs))
     wall = time.perf_counter() - start
     work = RankWork(
         edges_examined=csr.n_edges,
@@ -140,7 +159,7 @@ def sequential_chordal_filter(
         max_degree=csr.max_degree(),
     )
     result = FilterResult(
-        graph=filtered,
+        csr=filtered,
         original=graph,
         method="chordal_sequential",
         ordering=name or "natural",
@@ -160,6 +179,7 @@ def sequential_random_walk_filter(
     graph: Graph,
     seed: int = 0,
     selection_fraction: float = 0.5,
+    csr: Optional[CSRGraph] = None,
 ) -> FilterResult:
     """Sample ``graph`` with the random-walk control filter on a single processor.
 
@@ -177,13 +197,14 @@ def sequential_random_walk_filter(
     from the seed implementation** for the same seed; the result records
     ``extra["rng_stream"] = "batched-uniform-v2"`` and
     ``tests/test_sequential_filters.py::TestBatchedRandomWalkStream`` pins
-    the new stream with exact-edge-set regression tests.
+    the new stream with exact-edge-set regression tests.  ``csr`` is a
+    prebuilt CSR view of ``graph`` (see :func:`network_csr`).
     """
     if not 0.0 < selection_fraction <= 1.0:
         raise ValueError("selection_fraction must lie in (0, 1]")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    csr = CSRGraph.from_graph(graph)
+    csr = network_csr(graph, csr)
     n = csr.n_vertices
     rows = csr.neighbor_lists()
     kept: set[tuple[int, int]] = set()
@@ -213,10 +234,7 @@ def sequential_random_walk_filter(
             kept.add((current, nxt) if current < nxt else (nxt, current))
             selections += 1
             current = nxt
-    labels = csr.labels
-    filtered = graph.spanning_subgraph(
-        edge_key(labels[i], labels[j]) for i, j in kept
-    )
+    filtered = csr.spanning_subgraph(*pair_arrays(list(kept)))
     wall = time.perf_counter() - start
     work = RankWork(
         edges_examined=selections,
@@ -227,7 +245,7 @@ def sequential_random_walk_filter(
         max_degree=csr.max_degree(),
     )
     result = FilterResult(
-        graph=filtered,
+        csr=filtered,
         original=graph,
         method="random_walk_sequential",
         ordering=None,

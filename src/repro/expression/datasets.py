@@ -64,6 +64,7 @@ __all__ = [
     "make_study",
     "DATASET_CONFIGS",
     "dataset_names",
+    "check_scale",
 ]
 
 
@@ -225,6 +226,26 @@ DATASET_CONFIGS: dict[str, StudyConfig] = {
 def dataset_names() -> list[str]:
     """Return the four dataset names in the paper's order."""
     return ["YNG", "MID", "UNT", "CRE"]
+
+
+def check_scale(scale: float) -> float:
+    """Validate a dataset scale before any work starts; returns it as a float.
+
+    The one check behind every front door (the CLI's ``--scale`` and the
+    service's ``scale`` parameter): a scale must be positive and finite, and
+    every canned study must scale by it without overflowing its integer sizes
+    (``1e308`` is finite, but ``n_genes × 1e308`` is not).  Raises
+    :class:`ValueError` otherwise.
+    """
+    scale = float(scale)
+    if not math.isfinite(scale) or scale <= 0:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    try:
+        for config in DATASET_CONFIGS.values():
+            config.scaled(scale)
+    except OverflowError:
+        raise ValueError(f"scale {scale} overflows the dataset sizes") from None
+    return scale
 
 
 @dataclass

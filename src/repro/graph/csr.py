@@ -21,8 +21,10 @@ scalability study those constants dominate the measured time.
 
 A ``CSRGraph`` is *frozen*: all mutation happens on :class:`Graph`, and code
 converts at the boundary with :meth:`from_graph` / :meth:`to_graph`.  Edge
-attributes are intentionally not carried over — the samplers re-attach them by
-building their result with ``Graph.spanning_subgraph`` on the original graph.
+attributes are not carried by the CSR form: :meth:`to_graph` and
+:meth:`induced_graph` copy them from a label graph that holds the same edges
+(the unfiltered network), so a filtered network and its clusters stay on
+indices until a caller asks for labels.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, edge_key
 
 __all__ = ["CSRGraph"]
 
@@ -347,23 +349,110 @@ class CSRGraph:
         object.__setattr__(csr, "_edge_arr", None)
         return csr
 
-    def to_graph(self) -> Graph:
-        """Convert back to a :class:`Graph`.
+    def to_graph(self, edge_attrs: Optional[Graph] = None) -> Graph:
+        """Convert back to a :class:`Graph` whose neighbour rows are this CSR's rows.
 
-        The result compares equal to the source graph (same vertex set,
-        iteration order and edge set).  Edges are inserted in row-major order,
-        so per-vertex *neighbour* order may differ from an arbitrarily
-        interleaved construction sequence; edge attributes are not carried by
-        the CSR form at all (re-attach them via ``Graph.spanning_subgraph`` on
-        the original graph).
+        Vertex ``i`` is added ``i``-th and its neighbour dict lists row ``i``
+        in order, so ``CSRGraph.from_graph(csr.to_graph()) == csr`` array for
+        array — every order-dependent traversal of the result matches the
+        index kernels.  Edge attributes are copied from ``edge_attrs``, a
+        label graph that contains every edge of this CSR (for a filtered
+        network: the unfiltered one).  The CSR must be symmetric, as every
+        constructor except the raw validating one guarantees.
         """
-        g = Graph(vertices=self.labels)
-        indptr, indices, labels = self.indptr, self.indices, self.labels
-        for i in range(self.n_vertices):
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if j > i:
-                    g.add_edge(labels[i], labels[int(j)])
+        labels = self.labels
+        g = Graph()
+        adj = g._adj  # package-internal fast path, as in from_graph
+        for label, row in zip(labels, self.neighbor_lists()):
+            adj[label] = dict.fromkeys([labels[j] for j in row])
+        g._n_edges = self.n_edges
+        source = {} if edge_attrs is None else edge_attrs._edge_attrs
+        if source:
+            target = g._edge_attrs
+            us, vs = self.edge_array()
+            for i, j in zip(us.tolist(), vs.tolist()):
+                key = edge_key(labels[i], labels[j])
+                attrs = source.get(key)
+                if attrs:
+                    target[key] = dict(attrs)
         return g
+
+    def induced_graph(
+        self, members: Sequence[int], edge_attrs: Optional[Graph] = None
+    ) -> Graph:
+        """``graph.subgraph(labels of members)`` without the label ``graph``.
+
+        ``graph`` is any :class:`Graph` this CSR describes (``from_graph(graph)
+        == self``).  The result is built the way :meth:`Graph.subgraph` builds
+        it: vertices in ``members`` order, each member's row scanned in order,
+        an edge added when its other end is a member not scanned yet, so the
+        neighbour order — and with it every downstream float sum over the
+        edges — is identical.  Attributes come from ``edge_attrs`` as in
+        :meth:`to_graph`.
+        """
+        labels = self.labels
+        rows = self.neighbor_lists()
+        source = {} if edge_attrs is None else edge_attrs._edge_attrs
+        members = list(dict.fromkeys(members))
+        keep = set(members)
+        done: set[int] = set()
+        g = Graph()
+        adj, target = g._adj, g._edge_attrs  # package-internal, as in to_graph
+        for v in members:
+            adj[labels[v]] = {}
+        for v in members:
+            done.add(v)
+            lv = labels[v]
+            row = adj[lv]
+            for w in rows[v]:
+                if w in keep and w not in done:
+                    lw = labels[w]
+                    row[lw] = None
+                    adj[lw][lv] = None
+                    g._n_edges += 1
+                    if source:
+                        key = edge_key(lv, lw)
+                        attrs = source.get(key)
+                        if attrs:
+                            target[key] = dict(attrs)
+        return g
+
+    def spanning_subgraph(self, us: np.ndarray, vs: np.ndarray) -> "CSRGraph":
+        """The CSR of ``graph.spanning_subgraph(kept)`` for index pairs ``kept``.
+
+        ``(us[k], vs[k])`` is the ``k``-th kept edge, in either orientation.
+        As in :meth:`Graph.spanning_subgraph`, pairs that are not edges of
+        this graph are ignored, a repeated edge counts at its first
+        occurrence, and every vertex stays.  Row ``x`` of the result lists
+        ``x``'s kept neighbours in kept order — the order the label graph's
+        insertion-ordered dicts would hold — so the result equals
+        ``CSRGraph.from_graph(graph.spanning_subgraph(kept))`` array for
+        array.  One stable argsort of the interleaved pairs, no per-edge
+        Python work; the labels tuple is shared with this graph.
+        """
+        n = self.n_vertices
+        us = np.ascontiguousarray(us, dtype=np.int64).reshape(-1)
+        vs = np.ascontiguousarray(vs, dtype=np.int64).reshape(-1)
+        if us.shape != vs.shape:
+            raise ValueError("us and vs must have the same length")
+        if us.size:
+            present = self.has_edges(us, vs)
+            if not present.all():
+                us, vs = us[present], vs[present]
+            key = np.minimum(us, vs) * n + np.maximum(us, vs)
+            _, first = np.unique(key, return_index=True)
+            if first.shape[0] != key.shape[0]:
+                first.sort()
+                us, vs = us[first], vs[first]
+        m = int(us.shape[0])
+        src = np.empty(2 * m, dtype=np.int64)
+        dst = np.empty(2 * m, dtype=np.int64)
+        src[0::2], src[1::2] = us, vs
+        dst[0::2], dst[1::2] = vs, us
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return CSRGraph(indptr, dst[order], self.labels)
 
     # ------------------------------------------------------------------
     # label <-> index mapping
@@ -437,10 +526,9 @@ class CSRGraph:
         """
         rows = self._rows
         if rows is None:
-            indptr, indices = self.indptr, self.indices
-            rows = [
-                indices[indptr[i] : indptr[i + 1]].tolist() for i in range(self.n_vertices)
-            ]
+            flat = self.indices.tolist()
+            bounds = self.indptr.tolist()
+            rows = [flat[bounds[i] : bounds[i + 1]] for i in range(self.n_vertices)]
             object.__setattr__(self, "_rows", rows)
         return rows
 

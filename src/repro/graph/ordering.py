@@ -18,11 +18,12 @@ Since the index-native pipeline rewrite the orderings are *computed on the
 CSR kernel*: each has a ``*_order_indices`` function that takes a
 :class:`~repro.graph.csr.CSRGraph` and returns an ``int64`` permutation of
 ``0 .. n-1`` (vectorised ``np.argsort``/``np.lexsort`` for the degree
-orders, an array-queue Cuthill–McKee for RCM).  The label-level functions
-(``high_degree_order`` …) are thin boundary wrappers — convert, permute,
-map back — and the original label-and-dict implementations are retained as
-``reference_*`` so the property suite can pin the index kernels to the seed
-semantics, including their ``repr``/``str`` tie-breaking.
+orders, a plain-list Cuthill–McKee whose work is per component for RCM).
+The label-level functions (``high_degree_order`` …) are thin boundary
+wrappers — convert, permute, map back — and the original label-and-dict
+implementations are retained as ``reference_*`` so the property suite can
+pin the index kernels to the seed semantics, including their
+``repr``/``str`` tie-breaking.
 
 Every function returns all vertices of the graph exactly once; callers apply
 the ordering either by permuting the graph (:func:`permute_graph`) or by
@@ -112,123 +113,98 @@ def low_degree_order_indices(csr: CSRGraph, tie: Optional[np.ndarray] = None) ->
     return np.lexsort((tie, csr.degrees())).astype(np.int64)
 
 
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenated neighbour rows of ``rows`` as one array (vectorised gather)."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    base = np.zeros(rows.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=base[1:])
-    take = np.repeat(starts - base, counts) + np.arange(total, dtype=np.int64)
-    return indices[take]
+def _bfs_last_level(
+    rows: list[list[int]], mark: list[int], stamp: int, source: int
+) -> tuple[int, list[int]]:
+    """Eccentricity of ``source`` and the content of its last BFS level.
 
-
-def _bfs_level_structure(
-    indptr: np.ndarray, indices: np.ndarray, n: int, source: int
-) -> list[np.ndarray]:
-    """BFS levels from ``source`` as index arrays (level *content* only).
-
-    Within a level the vertices are in sorted index order — level membership
-    is what the pseudo-peripheral heuristic consumes, and distance sets are
-    iteration-order independent.
+    ``mark`` is one visit buffer shared by every search of an ordering run: a
+    vertex is visited in this search iff ``mark[v] == stamp``, so nothing is
+    allocated or cleared per search and the work is proportional to the
+    component, not to the graph.  Level *content* is what the
+    pseudo-peripheral heuristic consumes; its order does not matter.
     """
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
+    mark[source] = stamp
+    frontier = [source]
+    ecc = 0
     while True:
-        nbrs = _gather_rows(indptr, indices, frontier)
-        nxt = np.unique(nbrs[~visited[nbrs]]) if nbrs.size else nbrs
-        if not nxt.size:
-            return levels
-        visited[nxt] = True
-        levels.append(nxt)
+        nxt = []
+        for u in frontier:
+            for w in rows[u]:
+                if mark[w] != stamp:
+                    mark[w] = stamp
+                    nxt.append(w)
+        if not nxt:
+            return ecc, frontier
+        ecc += 1
         frontier = nxt
-
-
-def _pseudo_peripheral_index(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
-    start: int,
-    deg: np.ndarray,
-    str_ranks: np.ndarray,
-) -> int:
-    """George–Liu pseudo-peripheral vertex on indices.
-
-    Mirrors :func:`repro.graph.traversal.pseudo_peripheral_vertex` exactly:
-    the minimum-degree vertex of the last BFS level (ties by label ``str``,
-    via ``str_ranks``) until the eccentricity stops growing.
-    """
-    levels = _bfs_level_structure(indptr, indices, n, start)
-    ecc = len(levels) - 1
-    while True:
-        last = levels[-1]
-        candidate = int(last[np.lexsort((str_ranks[last], deg[last]))[0]])
-        new_levels = _bfs_level_structure(indptr, indices, n, candidate)
-        new_ecc = len(new_levels) - 1
-        if new_ecc <= ecc:
-            return candidate
-        levels, ecc = new_levels, new_ecc
 
 
 def rcm_order_indices(csr: CSRGraph, start: Optional[int] = None) -> np.ndarray:
     """Reverse Cuthill–McKee on the CSR kernel; returns an ``int64`` permutation.
 
     Each connected component is numbered from a pseudo-peripheral vertex with
-    the classic Cuthill–McKee array-queue BFS (unvisited neighbours appended
-    in ascending ``(degree, repr-rank)`` order) and the concatenated numbering
-    is reversed.  Isolated vertices keep their relative natural order in the
-    CM numbering, exactly as the seed implementation
-    (:func:`reference_rcm_order`) treats them.  ``start``, when given, is the
-    *index* of a preferred starting vertex: it short-circuits the
-    pseudo-peripheral search for its component iff it is that component's
-    first natural vertex (seed semantics).
+    the classic Cuthill–McKee BFS (unvisited neighbours appended in ascending
+    ``(degree, repr-rank)`` order) and the concatenated numbering is
+    reversed.  Isolated vertices keep their relative natural order in the CM
+    numbering, exactly as the seed implementation (:func:`reference_rcm_order`)
+    treats them.  ``start``, when given, is the *index* of a preferred
+    starting vertex: it short-circuits the pseudo-peripheral search for its
+    component iff it is that component's first natural vertex (seed
+    semantics).
+
+    The pseudo-peripheral step is George–Liu as in
+    :func:`repro.graph.traversal.pseudo_peripheral_vertex`: move to the
+    minimum-degree vertex of the last BFS level (ties by label ``str``) until
+    the eccentricity stops growing.  Everything runs on plain-list adjacency
+    rows with one shared visit buffer, so the cost of a component is
+    proportional to its size: correlation networks have hundreds of small
+    components, and per-search arrays or numpy calls would dominate them.
     """
     n = csr.n_vertices
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    indptr, indices = csr.indptr, csr.indices
-    deg = csr.degrees()
-    repr_ranks = label_sort_ranks(csr, repr)
-    str_ranks = label_sort_ranks(csr, str)
-    visited = np.zeros(n, dtype=bool)
-    cm = np.empty(n, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    out = 0
+    rows = csr.neighbor_lists()
+    deg = [len(row) for row in rows]
+    # (degree, rank) pairs folded into one int key: ranks are < n.
+    cm_key = [d * n + r for d, r in zip(deg, label_sort_ranks(csr, repr).tolist())]
+    str_key = [d * n + r for d, r in zip(deg, label_sort_ranks(csr, str).tolist())]
+    mark = [0] * n
+    stamp = 0
+    visited = [False] * n
+    cm: list[int] = []
     for v in range(n):
         if visited[v]:
             continue
-        if deg[v] == 0:
+        if not deg[v]:
             visited[v] = True
-            cm[out] = v
-            out += 1
+            cm.append(v)
             continue
-        if start is not None and not visited[start] and start == v:
+        if start == v:
             comp_start = v
         else:
-            comp_start = _pseudo_peripheral_index(indptr, indices, n, v, deg, str_ranks)
-        # Cuthill–McKee numbering of the component, array queue, no deque.
+            stamp += 1
+            ecc, last = _bfs_last_level(rows, mark, stamp, v)
+            while True:
+                comp_start = min(last, key=str_key.__getitem__)
+                stamp += 1
+                new_ecc, new_last = _bfs_last_level(rows, mark, stamp, comp_start)
+                if new_ecc <= ecc:
+                    break
+                ecc, last = new_ecc, new_last
+        # Cuthill–McKee numbering of the component; ``cm`` is its own queue.
         visited[comp_start] = True
-        cm[out] = comp_start
-        out += 1
-        queue[0] = comp_start
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
+        head = len(cm)
+        cm.append(comp_start)
+        while head < len(cm):
+            fresh = [w for w in rows[cm[head]] if not visited[w]]
             head += 1
-            row = indices[indptr[u] : indptr[u + 1]]
-            fresh = row[~visited[row]]
-            if fresh.size:
-                fresh = fresh[np.lexsort((repr_ranks[fresh], deg[fresh]))]
-                visited[fresh] = True
-                cm[out : out + fresh.size] = fresh
-                out += fresh.size
-                queue[tail : tail + fresh.size] = fresh
-                tail += fresh.size
-    return cm[::-1].copy()
+            if fresh:
+                fresh.sort(key=cm_key.__getitem__)
+                for w in fresh:
+                    visited[w] = True
+                cm.extend(fresh)
+    return np.asarray(cm[::-1], dtype=np.int64)
 
 
 #: Index-native counterparts of :data:`ORDERINGS` (CSR in, permutation out).

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import math
 import os
 import sys
 import time
@@ -36,6 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
+from ..expression.datasets import check_scale
 from ..faults import fault_point
 from ..parallel.rng import derive_seed
 from ..parallel.runner import shutdown_worker_pool
@@ -115,10 +115,7 @@ def parse_scale(text: str) -> float:
     key = text.strip().lower()
     if key in SCALE_ALIASES:
         return SCALE_ALIASES[key]
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"scale must be positive and finite, got {text!r}")
-    return value
+    return check_scale(float(text))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,14 @@ experiment in a few lines:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from ..clustering.cluster import Cluster
 from ..clustering.evaluation import (
@@ -33,7 +37,12 @@ from ..clustering.evaluation import (
     quadrant_counts,
 )
 from ..clustering.mcode import MCODEParams, mcode_clusters
-from ..clustering.overlap import ClusterMatch, found_clusters, match_and_lost_clusters
+from ..clustering.overlap import (
+    ClusterMatch,
+    OriginalClusterIndex,
+    found_clusters,
+    match_and_lost_clusters,
+)
 from ..core.results import FilterResult
 from ..core.sampling import apply_filter
 from ..expression.correlation import CorrelationThreshold
@@ -50,6 +59,7 @@ __all__ = [
     "prepare_dataset",
     "analyze_filter",
     "cluster_network",
+    "cluster_filtered",
     "payload_digest",
     "filter_payload",
     "analysis_payload",
@@ -81,6 +91,22 @@ class DatasetBundle:
     #: Untouched components were reused structurally (same objects), which is
     #: what lets the serve layer scope its cache invalidation.
     dirty: frozenset = frozenset()
+    _overlap_index: Optional[OriginalClusterIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def overlap_index(self) -> OriginalClusterIndex:
+        """The overlap join's index of :attr:`original_clusters`, built on first use.
+
+        Each generation is a new bundle (``dataclasses.replace`` does not copy
+        this field), so the index is built once per generation — and again
+        only if ``original_clusters`` is replaced in place.
+        """
+        index = self._overlap_index
+        if index is None or not index.indexes(self.original_clusters):
+            index = self._overlap_index = OriginalClusterIndex(self.original_clusters)
+        return index
 
     @property
     def n_vertices(self) -> int:
@@ -123,8 +149,13 @@ class FilterAnalysis:
         return f"{self.bundle.name}/{self.result.method}/{ordering}/{self.result.n_partitions}P"
 
     def cluster_aees(self) -> list[float]:
-        """AEES of every filtered cluster, in cluster order (one batched pass)."""
-        return self.bundle.scorer.cluster_aees([c.subgraph for c in self.clusters])
+        """AEES of every filtered cluster, in cluster order.
+
+        The node-overlap classification already scored every filtered
+        cluster — one match per cluster, in cluster order — so these are its
+        scores, not a second walk over every cluster's edges.
+        """
+        return [s.aees for s in self.scored_by_node]
 
     def high_scoring_clusters(self, threshold: Optional[float] = None) -> list[Cluster]:
         """Clusters whose AEES clears the (default 3.0) relevance threshold."""
@@ -153,17 +184,33 @@ class FilterAnalysis:
 
 
 def cluster_network(
-    graph: Graph,
+    graph: Optional[Graph],
     params: Optional[MCODEParams] = None,
     source: str = "",
     csr: Optional[CSRGraph] = None,
+    edge_attrs: Optional[Graph] = None,
 ) -> list[Cluster]:
     """Cluster a network with MCODE under the paper's default parameters.
 
     ``csr`` optionally reuses a prebuilt CSR view of ``graph`` (the bundle's
-    ``network_csr``) so the index-native MCODE skips its one conversion.
+    ``network_csr``) so the index-native MCODE skips its one conversion;
+    ``graph=None`` with ``csr`` and ``edge_attrs`` clusters a network that
+    has no label graph (see :func:`~repro.clustering.mcode.mcode_clusters`).
     """
-    return mcode_clusters(graph, params=params or MCODEParams(), source=source, csr=csr)
+    return mcode_clusters(
+        graph, params=params or MCODEParams(), source=source, csr=csr, edge_attrs=edge_attrs
+    )
+
+
+def cluster_filtered(
+    result: FilterResult, params: Optional[MCODEParams] = None, source: str = ""
+) -> list[Cluster]:
+    """Cluster a filter run's network straight from its CSR (no label graph).
+
+    Cluster subgraphs carry the original network's edge attributes, exactly
+    as clustering ``result.graph`` would give them.
+    """
+    return cluster_network(None, params, source, csr=result.csr, edge_attrs=result.original)
 
 
 def prepare_dataset(
@@ -242,6 +289,7 @@ def analyze_filter(
     identical on every tier.
     """
     with kernel_backend(kernels):
+        filter_kwargs.setdefault("csr", bundle.network_csr)
         result = apply_filter(
             bundle.network,
             method=method,
@@ -250,8 +298,10 @@ def analyze_filter(
             **filter_kwargs,
         )
         label = f"{bundle.name}/{method}/{ordering or '-'}/{n_partitions}P"
-        clusters = cluster_network(result.graph, bundle.mcode_params, source=label)
-        matches, lost = match_and_lost_clusters(bundle.original_clusters, clusters)
+        clusters = cluster_filtered(result, bundle.mcode_params, source=label)
+        matches, lost = match_and_lost_clusters(
+            bundle.original_clusters, clusters, index=bundle.overlap_index
+        )
         scored_node = classify_matches(matches, bundle.scorer, bundle.thresholds, "node_overlap")
         # The edge-overlap pass classifies the same filtered clusters, so it
         # reuses the node pass's enrichment scores instead of re-walking edges.
@@ -296,34 +346,66 @@ def payload_digest(obj: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _canonical_edges(graph: Graph) -> list[list[str]]:
-    """The graph's edge set as a sorted list of sorted string pairs."""
-    return sorted(sorted((str(u), str(v))) for u, v in graph.iter_edges())
+@functools.lru_cache(maxsize=8)
+def _label_strings(labels: tuple) -> tuple[list[str], list[str], np.ndarray]:
+    """``str`` of every label, its JSON string literal, and its rank in ``str`` order.
+
+    Memoised per labels tuple: a filtered CSR shares its network's labels, so
+    every filter run on one network reuses one entry.
+    """
+    strs = [str(v) for v in labels]
+    rank = np.empty(len(strs), dtype=np.int64)
+    rank[sorted(range(len(strs)), key=strs.__getitem__)] = np.arange(len(strs))
+    return strs, [encode_basestring_ascii(t) for t in strs], rank
+
+
+def _canonical_edge_pairs(csr: CSRGraph) -> tuple[list[int], list[int]]:
+    """The CSR's edges as index pairs, ordered like the sorted string-pair list.
+
+    Each pair ``(a, b)`` has ``str(label a) <= str(label b)`` and the pairs
+    are sorted by those strings — the order of
+    ``sorted(sorted((str(u), str(v))) for u, v in edges)`` — computed on
+    ``str``-order ranks instead of Python string comparisons.
+    """
+    us, vs = csr.edge_array()
+    rank = _label_strings(csr.labels)[2]
+    swap = rank[vs] < rank[us]
+    a = np.where(swap, vs, us)
+    b = np.where(swap, us, vs)
+    order = np.lexsort((rank[b], rank[a]))
+    return a[order].tolist(), b[order].tolist()
 
 
 def filter_payload(result: FilterResult, include_edges: bool = False) -> dict[str, Any]:
     """Canonical payload of one sampling-filter run (the ``filter`` request).
 
-    The edge set is pinned by ``edges_sha256``; ``include_edges`` additionally
-    inlines the sorted edge list for callers that want the network itself.
+    The edge set is pinned by ``edges_sha256``, the :func:`payload_digest` of
+    the sorted list of sorted ``str`` label pairs; ``include_edges``
+    additionally inlines that list for callers that want the network itself.
+    Both are read off the filtered CSR: the digest's JSON text is assembled
+    from per-label string literals, byte for byte what ``json.dumps`` makes
+    of the list.
     """
-    edges = _canonical_edges(result.graph)
+    csr = result.csr
+    strs, literals, _ = _label_strings(csr.labels)
+    a, b = _canonical_edge_pairs(csr)
+    blob = "[" + ",".join([f"[{literals[i]},{literals[j]}]" for i, j in zip(a, b)]) + "]"
     payload: dict[str, Any] = {
         "method": result.method,
         "ordering": result.ordering,
         "n_partitions": result.n_partitions,
         "partition_method": result.partition_method,
-        "n_vertices": result.graph.n_vertices,
+        "n_vertices": csr.n_vertices,
         "edges_original": result.original.n_edges,
         "edges_kept": result.n_edges_kept,
         "edge_reduction_hex": float(result.edge_reduction).hex(),
         "border_edges": result.n_border_edges,
         "accepted_border_edges": len(result.accepted_border_edges),
         "duplicate_border_edges": result.duplicate_border_edges,
-        "edges_sha256": payload_digest(edges),
+        "edges_sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
     }
     if include_edges:
-        payload["edges"] = edges
+        payload["edges"] = [[strs[i], strs[j]] for i, j in zip(a, b)]
     return payload
 
 

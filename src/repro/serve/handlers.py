@@ -23,17 +23,16 @@ hashed, and two spellings of one request share one cache entry.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional
 
 from ..core.sampling import apply_filter, filter_names
-from ..expression.datasets import dataset_names
+from ..expression.datasets import check_scale, dataset_names
 from ..graph.ordering import get_ordering
 from ..parallel.runner import available_backends
 from ..pipeline.workflow import (
     analysis_payload,
     analyze_filter,
-    cluster_network,
+    cluster_filtered,
     enrichment_payload,
     filter_payload,
 )
@@ -70,9 +69,7 @@ def _norm_common(params: dict[str, Any], default_scale: float) -> dict[str, Any]
         scale = round(float(scale), 6)
     except (TypeError, ValueError):
         raise _bad(f"scale must be a number, got {scale!r}") from None
-    if not math.isfinite(scale) or scale <= 0:
-        raise _bad(f"scale must be positive and finite, got {scale}")
-    return {"dataset": dataset, "scale": scale}
+    return {"dataset": dataset, "scale": check_scale(scale)}
 
 
 def _norm_filter_spec(params: dict[str, Any]) -> dict[str, Any]:
@@ -212,6 +209,7 @@ def _run_filter(state: DatasetState, params: dict[str, Any]):
         partition_method=params["partition_method"],
         seed=params["seed"],
         backend=params["backend"],
+        csr=state.bundle.network_csr,
     )
 
 
@@ -244,7 +242,7 @@ def handle_enrich(state: DatasetState, params: dict[str, Any]) -> dict[str, Any]
             f"{bundle.name}/{params['method']}/"
             f"{params['ordering'] or '-'}/{params['partitions']}P"
         )
-        clusters = cluster_network(result.graph, bundle.mcode_params, source=source)
+        clusters = cluster_filtered(result, bundle.mcode_params, source=source)
     # The one stage where cross-request batching pays: concurrent enrich
     # requests coalesce into a single scorer pass (see serve.coalesce).
     aees = state.batcher.score([c.subgraph for c in clusters])

@@ -209,6 +209,14 @@ class TestServedRoundTrips:
             assert response["error"]["code"] == "bad-request"
             assert "finite" in response["error"]["message"]
 
+    def test_overflowing_scale_is_bad_request(self, client):
+        # Finite, but the scaled study sizes overflow: rejected at admission
+        # with the CLI's scale check instead of failing inside the build.
+        response = client.request("filter", scale=1e308)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert "overflows" in response["error"]["message"]
+
     def test_filter_caches_by_spec_hash(self, client):
         first = client.request("filter", dataset="CRE", seed=41)
         second = client.request("filter", dataset="CRE", seed=41)
